@@ -12,7 +12,7 @@
 
 use clam_bench::{BenchRig, Echo, ECHO_SERVICE_ID};
 use clam_net::Endpoint;
-use clam_obs::{Event, EventKind, SpanId, TraceId};
+use clam_obs::{Event, EventKind, HistogramSnapshot, Quantile, SpanId, TraceId};
 use clam_rpc::Target;
 use clam_xdr::Opaque;
 use std::collections::BTreeMap;
@@ -126,13 +126,9 @@ fn main() -> ExitCode {
         match value {
             clam_obs::MetricValue::Counter(v) => println!("  {name:<44} {v}"),
             clam_obs::MetricValue::Gauge(v) => println!("  {name:<44} {v} (gauge)"),
-            clam_obs::MetricValue::Histogram(h) => println!(
-                "  {name:<44} n={} mean={:.1} p50={} p99={}",
-                h.count,
-                h.mean(),
-                h.percentile(50.0),
-                h.percentile(99.0),
-            ),
+            clam_obs::MetricValue::Histogram(h) => {
+                println!("  {name:<44} {}", histogram_summary(h));
+            }
         }
     }
 
@@ -164,6 +160,17 @@ fn main() -> ExitCode {
         println!("report written to {path}");
     }
     ExitCode::SUCCESS
+}
+
+/// One histogram's `n=… mean=… p50=… p99=…` summary.
+fn histogram_summary(h: &HistogramSnapshot) -> String {
+    format!(
+        "n={} mean={:.1} p50={} p99={}",
+        h.count,
+        h.mean(),
+        h.percentile(Quantile::P50),
+        h.percentile(Quantile::P99),
+    )
 }
 
 /// The cluster leg of the workload: a two-node fabric where the client
@@ -304,5 +311,27 @@ fn render_span(spans: &BTreeMap<SpanId, Node>, id: SpanId, depth: usize, out: &m
     out.push('\n');
     for child in &node.children {
         render_span(spans, *child, depth + 1, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_median_lies_below_the_tail() {
+        // 90 samples of 10 and 10 of 5000: a clamped percentile would
+        // print the top bucket (8191) for both.
+        let registry = clam_obs::Registry::new();
+        let h = registry.histogram("spread");
+        for _ in 0..90 {
+            h.observe(10);
+        }
+        for _ in 0..10 {
+            h.observe(5000);
+        }
+        let snap = registry.snapshot();
+        let line = histogram_summary(snap.histogram("spread").unwrap());
+        assert_eq!(line, "n=100 mean=509.0 p50=15 p99=8191");
     }
 }

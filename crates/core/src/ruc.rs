@@ -14,7 +14,7 @@
 use clam_net::{MsgReader, MsgWriter};
 use clam_obs::Counter;
 use clam_rpc::{
-    DeadlineWatchdog, Message, ProcId, Reply, RpcError, RpcResult, StatusCode, UpcallMsg,
+    DeadlineWatchdog, Message, ProcId, Reply, ReplySlot, RpcError, RpcResult, StatusCode, UpcallMsg,
 };
 use clam_task::{Event, Scheduler};
 use clam_xdr::{BufferPool, Opaque};
@@ -30,9 +30,11 @@ fn obs_remote_upcalls() -> &'static Arc<Counter> {
     C.get_or_init(|| clam_obs::counter("core.upcall.remote"))
 }
 
-struct UpcallWait {
-    event: Event,
-    slot: Mutex<Option<RpcResult<Opaque>>>,
+/// Synchronous upcalls failed by their deadline
+/// (`core.upcall.deadline_expired`).
+fn obs_upcall_deadline_expired() -> &'static Arc<Counter> {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| clam_obs::counter("core.upcall.deadline_expired"))
 }
 
 /// Per-client controller of the upcall channel.
@@ -45,7 +47,7 @@ struct UpcallWait {
 /// *a* slot frees).
 pub struct UpcallRouter {
     writer: Mutex<Box<dyn MsgWriter>>,
-    pending: Mutex<HashMap<u64, Arc<UpcallWait>>>,
+    pending: Mutex<HashMap<u64, Arc<ReplySlot>>>,
     permits: Event,
     next_request: AtomicU64,
     closed: AtomicBool,
@@ -151,10 +153,7 @@ impl UpcallRouter {
 
     fn invoke_inner(&self, proc_id: ProcId, args: Opaque) -> RpcResult<Opaque> {
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let wait = Arc::new(UpcallWait {
-            event: Event::new(&self.sched),
-            slot: Mutex::new(None),
-        });
+        let wait = ReplySlot::new(&self.sched);
         self.pending.lock().insert(request_id, Arc::clone(&wait));
 
         // The upcall is a child span of whatever server-side span is
@@ -163,13 +162,9 @@ impl UpcallRouter {
         // the parent edge here: the wire carries only (trace, span).
         let parent = clam_obs::current();
         let ctx = parent.child(); // a child of NONE is a fresh root
+        let code = u32::try_from(proc_id.id).unwrap_or(u32::MAX);
         obs_remote_upcalls().inc();
-        clam_obs::journal().record(
-            clam_obs::EventKind::UpcallSent,
-            ctx,
-            parent.span,
-            u32::try_from(proc_id.id).unwrap_or(u32::MAX),
-        );
+        clam_obs::journal().record(clam_obs::EventKind::UpcallSent, ctx, parent.span, code);
         let msg = Message::Upcall(UpcallMsg {
             proc_id: proc_id.id,
             request_id,
@@ -186,28 +181,18 @@ impl UpcallRouter {
             return Err(e);
         }
 
-        if let Some(limit) = self.timeout {
-            // Deadline expiry completes the upcall from outside (same
-            // scheme as the caller's call deadlines): occupy the reply
-            // slot and wake the blocked server task. A no-op if the
-            // client's reply won the race.
-            let armed = Arc::clone(&wait);
-            self.watchdog.arm_after(limit, move || {
-                let mut slot = armed.slot.lock();
-                if slot.is_none() {
-                    *slot = Some(Err(RpcError::DeadlineExceeded));
-                    drop(slot);
-                    armed.event.signal();
-                }
-            });
-        }
-
-        wait.event.wait();
-        let outcome = wait.slot.lock().take();
+        // Deadline expiry completes the upcall from outside (same scheme
+        // as the caller's call deadlines), counted and journaled only if
+        // it beat the client's reply; the entry is disarmed as soon as
+        // the wait returns.
+        let outcome = wait.wait(&self.watchdog, self.timeout, move || {
+            obs_upcall_deadline_expired().inc();
+            clam_obs::journal().record(clam_obs::EventKind::DeadlineFired, ctx, parent.span, code);
+        });
         // On expiry the entry is still in the map; reap it so a late
         // reply finds nothing. On a normal reply this is a no-op.
         self.pending.lock().remove(&request_id);
-        outcome.unwrap_or(Err(RpcError::Disconnected))
+        outcome
     }
 
     /// Perform an asynchronous upcall: no reply, no slot consumed.
@@ -234,7 +219,7 @@ impl UpcallRouter {
     }
 
     /// Deliver an upcall reply from the pump. Returns false for unmatched
-    /// replies.
+    /// replies and for replies that lost the race to the deadline.
     pub fn handle_reply(&self, reply: Reply) -> bool {
         let Some(wait) = self.pending.lock().remove(&reply.request_id) else {
             return false;
@@ -247,9 +232,7 @@ impl UpcallRouter {
                 message: reply.detail,
             })
         };
-        *wait.slot.lock() = Some(outcome);
-        wait.event.signal();
-        true
+        wait.complete(outcome)
     }
 
     /// Number of upcalls awaiting replies.
@@ -263,8 +246,7 @@ impl UpcallRouter {
         self.closed.store(true, Ordering::Release);
         let drained: Vec<_> = self.pending.lock().drain().collect();
         for (_, wait) in drained {
-            *wait.slot.lock() = Some(Err(RpcError::Disconnected));
-            wait.event.signal();
+            wait.complete(Err(RpcError::Disconnected));
         }
     }
 
@@ -468,6 +450,7 @@ mod tests {
 
     #[test]
     fn silent_client_deadlines_the_upcall() {
+        let _serial = deadline_counter_lock();
         use std::time::{Duration, Instant};
         let (server_end, client_end) = pair();
         let sched = Scheduler::new("ruc-deadline");
@@ -481,6 +464,7 @@ mod tests {
             while chan.recv().is_ok() {}
         });
         let ruc = RemoteUpcall::new(Arc::clone(&router), ProcId { id: 1 });
+        let expired_before = obs_upcall_deadline_expired().get();
         let start = Instant::now();
         let err = ruc.invoke(Opaque::new()).unwrap_err();
         let elapsed = start.elapsed();
@@ -496,11 +480,55 @@ mod tests {
             ruc.invoke(Opaque::new()).unwrap_err(),
             RpcError::DeadlineExceeded
         ));
+        assert_eq!(obs_upcall_deadline_expired().get() - expired_before, 2);
         // Drop every router handle so the writer closes and the silent
         // client's recv loop ends.
         drop(ruc);
         drop(router);
         t.join().unwrap();
+    }
+
+    /// Serializes the tests that expire upcall deadlines or assert on
+    /// the process-global `core.upcall.deadline_expired` counter.
+    fn deadline_counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    #[test]
+    fn completed_upcalls_disarm_their_deadlines() {
+        use std::time::Duration;
+        let _serial = deadline_counter_lock();
+        let (server_end, client_end) = pair();
+        let sched = Scheduler::new("ruc-disarm");
+        let (w, r) = server_end.split();
+        let timeout = Duration::from_millis(200);
+        let router = UpcallRouter::new(&sched, w, 1, Some(timeout));
+        router.spawn_reply_pump(r);
+        let _client = fake_client(client_end);
+        let ruc = RemoteUpcall::new(Arc::clone(&router), ProcId { id: 7 });
+
+        let root = clam_obs::TraceContext::new_root();
+        let expired_before = obs_upcall_deadline_expired().get();
+        {
+            let _scope = clam_obs::enter(root);
+            for i in 0..100u8 {
+                let out = ruc.invoke(Opaque::from(vec![i])).unwrap();
+                assert_eq!(out.as_slice(), &[i, 0xEE]);
+            }
+        }
+        assert_eq!(router.watchdog.armed(), 0, "every completed upcall disarms");
+        // Outlive every deadline the upcalls armed: none may fire.
+        std::thread::sleep(timeout * 2);
+        assert_eq!(router.watchdog.armed(), 0);
+        assert_eq!(obs_upcall_deadline_expired().get() - expired_before, 0);
+        let fired = clam_obs::journal()
+            .events()
+            .iter()
+            .filter(|e| e.kind == clam_obs::EventKind::DeadlineFired && e.trace == root.trace)
+            .count();
+        assert_eq!(fired, 0, "no DeadlineFired for completed upcalls");
     }
 
     #[test]

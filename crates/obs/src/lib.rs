@@ -32,6 +32,6 @@ pub mod trace;
 pub use journal::{journal, Event, EventKind, Journal};
 pub use metrics::{
     counter, gauge, histogram, registry, snapshot, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricValue, MetricsSnapshot, Registry,
+    MetricValue, MetricsSnapshot, Quantile, Registry,
 };
 pub use trace::{current, enter, SpanId, TraceContext, TraceId, TraceScope};

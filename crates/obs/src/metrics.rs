@@ -130,6 +130,31 @@ impl Histogram {
     }
 }
 
+/// A quantile in integer permille, `0 ..= 1000`: [`Quantile::P50`] is the
+/// median. An integer newtype instead of an `f64` fraction means a percent
+/// such as `50.0` cannot be passed by mistake and silently clamp to the
+/// maximum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Quantile(u16);
+
+impl Quantile {
+    /// The median.
+    pub const P50: Quantile = Quantile(500);
+    /// The 99th percentile.
+    pub const P99: Quantile = Quantile(990);
+
+    /// The quantile `permille / 1000`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `permille` exceeds 1000 (at compile time in a `const`).
+    #[must_use]
+    pub const fn permille(permille: u16) -> Quantile {
+        assert!(permille <= 1000, "a quantile is at most 1000 permille");
+        Quantile(permille)
+    }
+}
+
 /// Point-in-time copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
@@ -155,20 +180,18 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Upper bound of the bucket holding the `p`-th percentile
-    /// (`0.0 ..= 1.0`); 0 when empty. Log2 buckets make this exact to
-    /// within a factor of two, which is what a tripwire needs.
+    /// Upper bound of the bucket holding quantile `q`; 0 when empty. Log2
+    /// buckets make this exact to within a factor of two, which is what a
+    /// tripwire needs.
     #[must_use]
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub fn percentile(&self, q: Quantile) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let rank = ((self.count as f64) * p.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        // rank = ceil(count · q), at least the first sample; u128 keeps
+        // the product exact for any count.
+        let rank = (u128::from(self.count) * u128::from(q.0)).div_ceil(1000);
+        let rank = u64::try_from(rank).unwrap_or(u64::MAX).max(1);
         let mut seen = 0u64;
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
@@ -393,8 +416,8 @@ impl MetricsSnapshot {
                         h.count,
                         h.sum,
                         h.mean(),
-                        h.percentile(0.50),
-                        h.percentile(0.99)
+                        h.percentile(Quantile::P50),
+                        h.percentile(Quantile::P99)
                     );
                 }
             }
@@ -500,9 +523,17 @@ mod tests {
         h.observe(1_000_000); // the outlier
         let snap = r.snapshot();
         let hs = snap.histogram("p").unwrap();
-        assert_eq!(hs.percentile(0.50), 15);
-        assert!(hs.percentile(0.995) >= 1_000_000);
-        assert_eq!(hs.percentile(0.0), 15); // rank clamps to the first sample
+        assert_eq!(hs.percentile(Quantile::P50), 15);
+        assert_eq!(hs.percentile(Quantile::P99), 15);
+        assert!(hs.percentile(Quantile::permille(995)) >= 1_000_000);
+        assert!(hs.percentile(Quantile::permille(1000)) >= 1_000_000);
+        assert_eq!(hs.percentile(Quantile::permille(0)), 15); // rank clamps to the first sample
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1000 permille")]
+    fn a_quantile_above_one_is_rejected() {
+        let _ = Quantile::permille(1001);
     }
 
     #[test]

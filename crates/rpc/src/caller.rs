@@ -13,7 +13,7 @@
 //! [`Caller::call_async`] is the batched form; [`Caller::flush`] is the
 //! special synchronization procedure.
 
-use crate::deadline::DeadlineWatchdog;
+use crate::deadline::{DeadlineWatchdog, ReplySlot};
 use crate::error::{RpcError, RpcResult, StatusCode};
 use crate::message::{BatchEncoder, Call, Message, Reply, Target};
 use crate::server::SYNC_SERVICE_ID;
@@ -171,11 +171,6 @@ fn latency_histogram(target: Target) -> Arc<clam_obs::Histogram> {
     }
 }
 
-struct ReplyWait {
-    event: Event,
-    slot: Mutex<Option<RpcResult<Opaque>>>,
-}
-
 struct Outbound {
     writer: Box<dyn MsgWriter>,
     /// The in-progress batch, already in wire form: calls are encoded
@@ -196,7 +191,7 @@ struct Outbound {
 pub struct Caller {
     sched: Scheduler,
     out: Mutex<Outbound>,
-    pending: Mutex<HashMap<u64, Arc<ReplyWait>>>,
+    pending: Mutex<HashMap<u64, Arc<ReplySlot>>>,
     next_request: AtomicU64,
     closed: AtomicBool,
     config: CallerConfig,
@@ -309,7 +304,8 @@ impl Caller {
     fn backoff_sleep(&self, duration: Duration) {
         let gate = Arc::new(Event::new(&self.sched));
         let armed = Arc::clone(&gate);
-        self.watchdog.arm_after(duration, move || armed.signal());
+        // Fire-once: the entry's firing is what ends the sleep.
+        let _ = self.watchdog.arm_after(duration, move || armed.signal());
         gate.wait();
     }
 
@@ -332,10 +328,7 @@ impl Caller {
         clam_obs::journal().record(EventKind::CallStart, trace, parent.span, method);
         let started = Instant::now();
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let wait = Arc::new(ReplyWait {
-            event: Event::new(&self.sched),
-            slot: Mutex::new(None),
-        });
+        let wait = ReplySlot::new(&self.sched);
         self.pending.lock().insert(request_id, Arc::clone(&wait));
 
         let nested = in_nested_context();
@@ -379,36 +372,17 @@ impl Caller {
             return Err(e);
         }
 
-        if let Some(limit) = deadline {
-            // Expiry completes the call from outside: occupy the reply
-            // slot and wake the waiter. If the reply won the race the
-            // slot is taken and this is a no-op (the extra signal banks
-            // on a dying event).
-            let armed = Arc::clone(&wait);
-            let expired = Arc::clone(&self.obs.deadline_expired);
-            self.watchdog.arm_after(limit, move || {
-                let mut slot = armed.slot.lock();
-                if slot.is_none() {
-                    *slot = Some(Err(RpcError::DeadlineExceeded));
-                    drop(slot);
-                    expired.inc();
-                    clam_obs::journal().record(
-                        EventKind::DeadlineFired,
-                        trace,
-                        parent.span,
-                        method,
-                    );
-                    armed.event.signal();
-                }
-            });
-        }
-
-        wait.event.wait();
-        let outcome = wait.slot.lock().take();
+        // Expiry completes the call from outside; it is counted and
+        // journaled only if it beat the reply. The entry is disarmed as
+        // soon as the wait returns.
+        let expired = Arc::clone(&self.obs.deadline_expired);
+        let outcome = wait.wait(&self.watchdog, deadline, move || {
+            expired.inc();
+            clam_obs::journal().record(EventKind::DeadlineFired, trace, parent.span, method);
+        });
         // On expiry the entry is still in the map (a late reply must not
         // find it); on a normal reply this remove is a no-op.
         self.pending.lock().remove(&request_id);
-        let outcome = outcome.unwrap_or(Err(RpcError::Disconnected));
         #[allow(clippy::cast_possible_truncation)]
         latency_histogram(target).observe(started.elapsed().as_micros() as u64);
         clam_obs::journal().record(
@@ -541,7 +515,7 @@ impl Caller {
 
     /// Deliver a reply received from the transport. Returns `false` for
     /// replies that match no outstanding call (a protocol anomaly the
-    /// pump may log).
+    /// pump may log) or that lost the race to their call's deadline.
     pub fn handle_reply(&self, reply: Reply) -> bool {
         let Some(wait) = self.pending.lock().remove(&reply.request_id) else {
             return false;
@@ -554,9 +528,7 @@ impl Caller {
                 message: reply.detail,
             })
         };
-        *wait.slot.lock() = Some(outcome);
-        wait.event.signal();
-        true
+        wait.complete(outcome)
     }
 
     /// Fail every outstanding call (connection teardown).
@@ -564,8 +536,7 @@ impl Caller {
         self.closed.store(true, Ordering::Release);
         let drained: Vec<_> = self.pending.lock().drain().collect();
         for (_, wait) in drained {
-            *wait.slot.lock() = Some(Err(RpcError::Disconnected));
-            wait.event.signal();
+            wait.complete(Err(RpcError::Disconnected));
         }
     }
 
@@ -805,7 +776,27 @@ mod tests {
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
         caller.spawn_reply_pump(r);
-        let srv = serve_echo(server);
+        // The server holds its reply until the other task has run, so the
+        // reply cannot beat the RPC task to its wait: only a task that
+        // really blocks lets "other-ran" happen before "call-done". (The
+        // timeout keeps a broken scheduler from hanging the test.)
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel::<()>();
+        let mut server = server;
+        let srv = std::thread::spawn(move || {
+            let frame = server.recv().unwrap();
+            let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+                panic!("unexpected message");
+            };
+            let _ = ran_rx.recv_timeout(Duration::from_secs(5));
+            let reply = Message::Reply(Reply {
+                request_id: calls[0].request_id,
+                status: StatusCode::Ok,
+                detail: String::new(),
+                results: calls[0].args.clone(),
+            });
+            server.send(reply.to_frame().unwrap()).unwrap();
+            server
+        });
 
         let log = Arc::new(Mutex::new(Vec::new()));
         let c = Arc::clone(&caller);
@@ -821,6 +812,7 @@ mod tests {
         let l = Arc::clone(&log);
         let h2 = sched.spawn("other-task", move || {
             l.lock().push("other-ran");
+            let _ = ran_tx.send(());
         });
         h1.join().unwrap();
         h2.join().unwrap();
@@ -845,6 +837,28 @@ mod tests {
         })
     }
 
+    /// Serializes the tests that expire deadlines or assert on the
+    /// process-global `rpc.deadline_expired` counter, so exact deltas
+    /// hold while the rest of the suite runs in parallel.
+    fn deadline_counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn deadline_expired() -> u64 {
+        clam_obs::counter("rpc.deadline_expired").get()
+    }
+
+    /// `DeadlineFired` journal records under `trace`.
+    fn deadlines_fired_in(trace: clam_obs::TraceId) -> usize {
+        clam_obs::journal()
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::DeadlineFired && e.trace == trace)
+            .count()
+    }
+
     fn timed_caller(timeout: Duration) -> (Arc<Caller>, clam_net::Channel) {
         let (client, server) = pair();
         let sched = Scheduler::new("deadline-test");
@@ -863,6 +877,7 @@ mod tests {
 
     #[test]
     fn black_holed_call_deadlines_within_twice_the_timeout() {
+        let _serial = deadline_counter_lock();
         let timeout = Duration::from_millis(150);
         let (caller, server) = timed_caller(timeout);
         let srv = serve_black_hole(server);
@@ -884,6 +899,7 @@ mod tests {
 
     #[test]
     fn idempotent_call_is_retried_after_deadline() {
+        let _serial = deadline_counter_lock();
         let (caller, mut server) = timed_caller(Duration::from_millis(100));
         // Swallow the first attempt; answer the second.
         let srv = std::thread::spawn(move || {
@@ -918,6 +934,7 @@ mod tests {
 
     #[test]
     fn non_idempotent_calls_are_never_retried() {
+        let _serial = deadline_counter_lock();
         let (caller, server) = timed_caller(Duration::from_millis(80));
         let srv = serve_black_hole(server);
         let err = caller
@@ -934,6 +951,141 @@ mod tests {
         assert!(matches!(err, RpcError::DeadlineExceeded));
         drop(caller);
         assert_eq!(srv.join().unwrap(), 1, "exactly one attempt on the wire");
+    }
+
+    #[test]
+    fn completed_calls_disarm_their_deadlines() {
+        let _serial = deadline_counter_lock();
+        let timeout = Duration::from_millis(200);
+        let (caller, server) = timed_caller(timeout);
+        let srv = serve_echo(server);
+        let root = clam_obs::TraceContext::new_root();
+        let expired_before = deadline_expired();
+        {
+            let _scope = clam_obs::enter(root);
+            for i in 0..100u8 {
+                let out = caller
+                    .call(Target::Builtin(1), 0, Opaque::from(vec![i]))
+                    .unwrap();
+                assert_eq!(out.as_slice(), &[i]);
+            }
+        }
+        assert_eq!(caller.watchdog.armed(), 0, "every completed call disarms");
+        // Outlive every deadline the calls armed: none may fire.
+        std::thread::sleep(timeout * 2);
+        assert_eq!(caller.watchdog.armed(), 0);
+        assert_eq!(
+            deadline_expired() - expired_before,
+            0,
+            "successful calls are not deadline expiries"
+        );
+        assert_eq!(deadlines_fired_in(root.trace), 0);
+        drop(caller);
+        let _ = srv.join();
+    }
+
+    /// SplitMix64: the race test's replayable duration stream.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A handler delay drawn around `deadline`: a fifth clearly early, a
+    /// fifth clearly late, the rest within 5 ms of the deadline itself.
+    fn race_delay(state: &mut u64, deadline: Duration) -> Duration {
+        let r = splitmix(state);
+        match r % 5 {
+            0 => Duration::from_millis(1),
+            1 => deadline * 2,
+            _ => deadline - Duration::from_millis(5) + Duration::from_micros((r >> 8) % 10_000),
+        }
+    }
+
+    #[test]
+    fn deadline_racing_a_reply_has_exactly_one_outcome() {
+        let _serial = deadline_counter_lock();
+        let seed: u64 = std::env::var("DEADLINE_RACE_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1);
+        let deadline = Duration::from_millis(30);
+        let calls = 40u8;
+        let mut state = seed;
+        let delays: Vec<Duration> = (0..calls)
+            .map(|_| race_delay(&mut state, deadline))
+            .collect();
+
+        let (caller, server) = timed_caller(deadline);
+        // Each request is answered from its own thread after its seeded
+        // delay, so a slow reply never holds up the next request.
+        let (writer, mut reader) = server.split();
+        let writer = Arc::new(Mutex::new(writer));
+        let srv = std::thread::spawn(move || {
+            let mut repliers = Vec::new();
+            for delay in delays {
+                let Ok(frame) = reader.recv() else { break };
+                let Ok(Message::CallBatch(calls)) = Message::from_frame(&frame) else {
+                    panic!("unexpected message");
+                };
+                let call = calls.into_iter().next().expect("one call per frame");
+                let writer = Arc::clone(&writer);
+                repliers.push(std::thread::spawn(move || {
+                    std::thread::sleep(delay);
+                    let reply = Message::Reply(Reply {
+                        request_id: call.request_id,
+                        status: StatusCode::Ok,
+                        detail: String::new(),
+                        results: call.args,
+                    });
+                    let _ = writer.lock().send(reply.to_frame().unwrap().into());
+                }));
+            }
+            for r in repliers {
+                r.join().unwrap();
+            }
+            reader
+        });
+
+        let expired_before = deadline_expired();
+        let (mut ok, mut exceeded) = (0u64, 0u64);
+        for i in 0..calls {
+            match caller.call(Target::Builtin(1), 0, Opaque::from(vec![i])) {
+                // A late reply to an earlier call never lands here: every
+                // success carries this call's own payload.
+                Ok(out) => {
+                    assert_eq!(out.as_slice(), &[i], "seed {seed}: reply crossed calls");
+                    ok += 1;
+                }
+                Err(RpcError::DeadlineExceeded) => exceeded += 1,
+                Err(e) => panic!("seed {seed}: call {i} failed with {e:?}"),
+            }
+        }
+        assert_eq!(ok + exceeded, u64::from(calls), "seed {seed}");
+        assert!(ok > 0 && exceeded > 0, "seed {seed}: both outcomes occur");
+        // Every reply, late ones included, has been sent; give the pump
+        // time to route (and drop) the stragglers.
+        let reader = srv.join().unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            deadline_expired() - expired_before,
+            exceeded,
+            "seed {seed}: one counted expiry per DeadlineExceeded, none per late reply"
+        );
+        assert_eq!(
+            caller.watchdog.armed(),
+            0,
+            "seed {seed}: nothing left armed"
+        );
+        assert_eq!(
+            caller.outstanding(),
+            0,
+            "seed {seed}: late replies found no entry"
+        );
+        drop(caller);
+        drop(reader);
     }
 
     #[test]
@@ -963,6 +1115,7 @@ mod tests {
 
     #[test]
     fn flush_acked_deadlines_against_a_dead_peer() {
+        let _serial = deadline_counter_lock();
         let (caller, server) = timed_caller(Duration::from_millis(100));
         let srv = serve_black_hole(server);
         caller
