@@ -209,7 +209,7 @@ impl ClamClient {
     /// # Errors
     ///
     /// Transport errors connecting or handshaking; a spawn failure for
-    /// the upcall pump surfaces as an application-level status.
+    /// either pump thread surfaces as an application-level status.
     pub fn connect_opts(endpoint: &Endpoint, opts: ClientOptions) -> RpcResult<Arc<ClamClient>> {
         let nonce = rand::thread_rng().next_u64();
 
@@ -229,7 +229,12 @@ impl ClamClient {
             .unwrap_or_else(|| Scheduler::new("clam-client"));
         let (rpc_writer, rpc_reader) = rpc_ch.split();
         let caller = Caller::new(&sched, rpc_writer, opts.caller);
-        caller.spawn_reply_pump(rpc_reader);
+        caller
+            .spawn_reply_pump(rpc_reader)
+            .map_err(|source| CoreError::Spawn {
+                thread: "clam-rpc-reply-pump".into(),
+                source,
+            })?;
 
         let (mut up_writer, mut up_reader) = upcall_ch.split();
         // One pool for the upcall channel: inbound upcall frames are

@@ -13,14 +13,11 @@
 
 use clam_net::{MsgReader, MsgWriter};
 use clam_obs::Counter;
-use clam_rpc::{
-    DeadlineWatchdog, Message, ProcId, Reply, ReplySlot, RpcError, RpcResult, StatusCode, UpcallMsg,
-};
+use clam_rpc::{Message, ProcId, ReplyKind, ReplyTable, RpcError, RpcResult, UpcallMsg};
 use clam_task::{Event, Scheduler};
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -39,19 +36,19 @@ fn obs_upcall_deadline_expired() -> &'static Arc<Counter> {
 
 /// Per-client controller of the upcall channel.
 ///
-/// Owns the writer half; a pump thread feeds replies back through
-/// [`handle_reply`](UpcallRouter::handle_reply). The permit machinery
+/// Owns the writer half; a pump thread (see
+/// [`spawn_reply_pump`](UpcallRouter::spawn_reply_pump)) feeds replies
+/// back through the router's [`ReplyTable`], the same one a client's
+/// caller uses for call replies. The permit machinery
 /// implements "we allow only one upcall to be active per client" —
 /// a server task invoking a synchronous upcall while another is active
 /// blocks until the slot frees (with `max_concurrent_upcalls > 1`, until
 /// *a* slot frees).
 pub struct UpcallRouter {
     writer: Mutex<Box<dyn MsgWriter>>,
-    pending: Mutex<HashMap<u64, Arc<ReplySlot>>>,
+    /// Sync upcalls awaiting replies, their deadlines, and the reply pump.
+    replies: Arc<ReplyTable>,
     permits: Event,
-    next_request: AtomicU64,
-    closed: AtomicBool,
-    sched: Scheduler,
     max_active: usize,
     /// Synchronous upcalls currently in flight (including those waiting
     /// for a permit). While nonzero, the session's RPC pump services
@@ -63,15 +60,13 @@ pub struct UpcallRouter {
     /// Deadline for synchronous upcalls; `None` is the paper's unbounded
     /// wait (a client that never replies blocks its server task forever).
     timeout: Option<Duration>,
-    /// Enforces upcall deadlines from outside the event machinery.
-    watchdog: DeadlineWatchdog,
 }
 
 impl std::fmt::Debug for UpcallRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpcallRouter")
             .field("max_active", &self.max_active)
-            .field("closed", &self.closed.load(Ordering::Relaxed))
+            .field("closed", &self.replies.is_closed())
             .finish_non_exhaustive()
     }
 }
@@ -98,16 +93,12 @@ impl UpcallRouter {
         writer.attach_pool(&pool);
         Arc::new(UpcallRouter {
             writer: Mutex::new(writer),
-            pending: Mutex::new(HashMap::new()),
+            replies: ReplyTable::new(sched),
             permits,
-            next_request: AtomicU64::new(1),
-            closed: AtomicBool::new(false),
-            sched: sched.clone(),
             max_active,
             sync_in_flight: AtomicU64::new(0),
             pool,
             timeout,
-            watchdog: DeadlineWatchdog::new(),
         })
     }
 
@@ -137,7 +128,7 @@ impl UpcallRouter {
     /// Transport errors, [`RpcError::Disconnected`] if the client goes
     /// away, or the client procedure's error status.
     pub fn invoke(&self, proc_id: ProcId, args: Opaque) -> RpcResult<Opaque> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
         // Mark the sync upcall BEFORE anything is sent: a nested call
@@ -152,10 +143,6 @@ impl UpcallRouter {
     }
 
     fn invoke_inner(&self, proc_id: ProcId, args: Opaque) -> RpcResult<Opaque> {
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let wait = ReplySlot::new(&self.sched);
-        self.pending.lock().insert(request_id, Arc::clone(&wait));
-
         // The upcall is a child span of whatever server-side span is
         // current (usually the client call that triggered it), so the
         // client's handler stitches into the same trace tree. Journal
@@ -163,36 +150,26 @@ impl UpcallRouter {
         let parent = clam_obs::current();
         let ctx = parent.child(); // a child of NONE is a fresh root
         let code = u32::try_from(proc_id.id).unwrap_or(u32::MAX);
-        obs_remote_upcalls().inc();
-        clam_obs::journal().record(clam_obs::EventKind::UpcallSent, ctx, parent.span, code);
-        let msg = Message::Upcall(UpcallMsg {
-            proc_id: proc_id.id,
-            request_id,
-            args,
-            trace: ctx,
-        });
-        let send_result = (|| -> RpcResult<()> {
+        let send = |request_id| {
+            obs_remote_upcalls().inc();
+            clam_obs::journal().record(clam_obs::EventKind::UpcallSent, ctx, parent.span, code);
+            let msg = Message::Upcall(UpcallMsg {
+                proc_id: proc_id.id,
+                request_id,
+                args,
+                trace: ctx,
+            });
             let frame = msg.to_frame_in(&self.pool)?;
             self.writer.lock().send(frame)?;
             Ok(())
-        })();
-        if let Err(e) = send_result {
-            self.pending.lock().remove(&request_id);
-            return Err(e);
-        }
-
+        };
         // Deadline expiry completes the upcall from outside (same scheme
         // as the caller's call deadlines), counted and journaled only if
-        // it beat the client's reply; the entry is disarmed as soon as
-        // the wait returns.
-        let outcome = wait.wait(&self.watchdog, self.timeout, move || {
+        // it beat the client's reply.
+        self.replies.request(send, self.timeout, move || {
             obs_upcall_deadline_expired().inc();
             clam_obs::journal().record(clam_obs::EventKind::DeadlineFired, ctx, parent.span, code);
-        });
-        // On expiry the entry is still in the map; reap it so a late
-        // reply finds nothing. On a normal reply this is a no-op.
-        self.pending.lock().remove(&request_id);
-        outcome
+        })
     }
 
     /// Perform an asynchronous upcall: no reply, no slot consumed.
@@ -201,7 +178,7 @@ impl UpcallRouter {
     ///
     /// Transport and bundling errors.
     pub fn invoke_async(&self, proc_id: ProcId, args: Opaque) -> RpcResult<()> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
         obs_remote_upcalls().inc();
@@ -218,82 +195,30 @@ impl UpcallRouter {
         Ok(())
     }
 
-    /// Deliver an upcall reply from the pump. Returns false for unmatched
-    /// replies and for replies that lost the race to the deadline.
-    pub fn handle_reply(&self, reply: Reply) -> bool {
-        let Some(wait) = self.pending.lock().remove(&reply.request_id) else {
-            return false;
-        };
-        let outcome = if reply.status == StatusCode::Ok {
-            Ok(reply.results)
-        } else {
-            Err(RpcError::Status {
-                code: reply.status,
-                message: reply.detail,
-            })
-        };
-        wait.complete(outcome)
-    }
-
     /// Number of upcalls awaiting replies.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.pending.lock().len()
+        self.replies.outstanding()
     }
 
     /// Fail every outstanding upcall (client teardown).
     pub fn fail_all(&self) {
-        self.closed.store(true, Ordering::Release);
-        let drained: Vec<_> = self.pending.lock().drain().collect();
-        for (_, wait) in drained {
-            wait.complete(Err(RpcError::Disconnected));
-        }
+        self.replies.fail_all();
     }
 
-    /// Run the upcall-reply pump on the calling thread until the channel
-    /// closes. Spawn on a dedicated OS thread.
-    pub fn pump_replies(self: &Arc<Self>, mut reader: Box<dyn MsgReader>) {
-        reader.attach_pool(&self.pool);
-        while let Ok(frame) = reader.recv() {
-            match Message::from_frame(&frame) {
-                Ok(Message::UpcallReply(reply)) => {
-                    self.pool.recycle(frame.into_wire());
-                    self.handle_reply(reply);
-                }
-                Ok(_) | Err(_) => break,
-            }
-        }
-        self.fail_all();
-    }
-
-    /// Spawn the reply pump on a new OS thread.
+    /// Spawn the upcall-reply pump for `reader` (see
+    /// [`ReplyTable::spawn_pump`]). Dropping every router handle drops
+    /// the writer, so the client hangs up and the pump ends.
     ///
-    /// Holds the router weakly so dropping all router handles tears the
-    /// link down instead of cycling through the pump.
+    /// # Errors
+    ///
+    /// The I/O error if the thread cannot be spawned.
     pub fn spawn_reply_pump(
-        self: &Arc<Self>,
-        mut reader: Box<dyn MsgReader>,
-    ) -> std::thread::JoinHandle<()> {
-        reader.attach_pool(&self.pool);
-        let weak = Arc::downgrade(self);
-        std::thread::Builder::new()
-            .name("clam-upcall-reply-pump".to_string())
-            .spawn(move || {
-                while let Ok(frame) = reader.recv() {
-                    let Some(router) = weak.upgrade() else { break };
-                    match Message::from_frame(&frame) {
-                        Ok(Message::UpcallReply(reply)) => {
-                            router.pool.recycle(frame.into_wire());
-                            router.handle_reply(reply);
-                        }
-                        Ok(_) | Err(_) => break,
-                    }
-                }
-                if let Some(router) = weak.upgrade() {
-                    router.fail_all();
-                }
-            })
-            .expect("failed to spawn upcall reply pump")
+        &self,
+        reader: Box<dyn MsgReader>,
+    ) -> std::io::Result<std::thread::JoinHandle<()>> {
+        self.replies
+            .spawn_pump(reader, ReplyKind::Upcall, &self.pool)
     }
 }
 
@@ -345,6 +270,7 @@ impl RemoteUpcall {
 mod tests {
     use super::*;
     use clam_net::pair;
+    use clam_rpc::{Reply, StatusCode};
 
     /// A fake client: answers every sync upcall by echoing args with a
     /// marker byte appended.
@@ -377,7 +303,7 @@ mod tests {
         let sched = Scheduler::new("ruc-test");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, max_active, None);
-        router.spawn_reply_pump(r);
+        router.spawn_reply_pump(r).unwrap();
         let client = fake_client(client_end);
         (router, client, sched)
     }
@@ -405,7 +331,7 @@ mod tests {
         let sched = Scheduler::new("ruc-err");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, 1, None);
-        router.spawn_reply_pump(r);
+        router.spawn_reply_pump(r).unwrap();
         let t = std::thread::spawn(move || {
             let frame = client_end.recv().unwrap();
             let Ok(Message::Upcall(up)) = Message::from_frame(&frame) else {
@@ -432,7 +358,7 @@ mod tests {
         let sched = Scheduler::new("ruc-disc");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, 1, None);
-        router.spawn_reply_pump(r);
+        router.spawn_reply_pump(r).unwrap();
         let t = std::thread::spawn(move || {
             let mut client_end = client_end;
             let _ = client_end.recv();
@@ -457,7 +383,7 @@ mod tests {
         let (w, r) = server_end.split();
         let timeout = Duration::from_millis(120);
         let router = UpcallRouter::new(&sched, w, 1, Some(timeout));
-        router.spawn_reply_pump(r);
+        router.spawn_reply_pump(r).unwrap();
         // A client that accepts the upcall but never answers.
         let t = std::thread::spawn(move || {
             let mut chan = client_end;
@@ -505,7 +431,7 @@ mod tests {
         let (w, r) = server_end.split();
         let timeout = Duration::from_millis(200);
         let router = UpcallRouter::new(&sched, w, 1, Some(timeout));
-        router.spawn_reply_pump(r);
+        router.spawn_reply_pump(r).unwrap();
         let _client = fake_client(client_end);
         let ruc = RemoteUpcall::new(Arc::clone(&router), ProcId { id: 7 });
 
@@ -518,10 +444,14 @@ mod tests {
                 assert_eq!(out.as_slice(), &[i, 0xEE]);
             }
         }
-        assert_eq!(router.watchdog.armed(), 0, "every completed upcall disarms");
+        assert_eq!(
+            router.replies.watchdog().armed(),
+            0,
+            "every completed upcall disarms"
+        );
         // Outlive every deadline the upcalls armed: none may fire.
         std::thread::sleep(timeout * 2);
-        assert_eq!(router.watchdog.armed(), 0);
+        assert_eq!(router.replies.watchdog().armed(), 0);
         assert_eq!(obs_upcall_deadline_expired().get() - expired_before, 0);
         let fired = clam_obs::journal()
             .events()
@@ -539,7 +469,7 @@ mod tests {
         let sched = Scheduler::new("ruc-limit");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, 1, None);
-        router.spawn_reply_pump(r);
+        router.spawn_reply_pump(r).unwrap();
 
         // A slow fake client: observes both requests before replying, if
         // the router lets both through (it must not).
@@ -590,7 +520,7 @@ mod tests {
         let sched = Scheduler::new("ruc-relaxed");
         let (w, r) = server_end.split();
         let router = UpcallRouter::new(&sched, w, 2, None);
-        router.spawn_reply_pump(r);
+        router.spawn_reply_pump(r).unwrap();
 
         // Fake client that collects BOTH requests before replying to
         // either — deadlock unless two upcalls may be active at once.

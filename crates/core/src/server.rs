@@ -369,10 +369,15 @@ impl ClamServer {
             self.config.max_concurrent_upcalls,
             self.config.upcall_timeout,
         );
-        router.spawn_reply_pump(up_reader);
-
         let session = Session::new(&self.sched, conn, router, rpc_writer);
         self.sessions.insert(Arc::clone(&session));
+        if session.router().spawn_reply_pump(up_reader).is_err() {
+            // No upcall-reply pump means no sync upcall could ever be
+            // answered: refuse the client (it observes its channels
+            // drop) rather than abort the accept thread.
+            self.end_session(&session);
+            return;
+        }
 
         // The main RPC task: serializes this client's requests in strict
         // arrival order ("the main task handles RPC requests from
@@ -401,7 +406,6 @@ impl ClamServer {
         // keeps the paper's batched-call ordering.
         {
             let pump_session = Arc::clone(&session);
-            let sessions = Arc::clone(&self.sessions);
             let server = Arc::clone(self);
             let spawned = std::thread::Builder::new()
                 .name(format!("clam-rpc-pump-{}", conn.0))
@@ -426,24 +430,26 @@ impl ClamServer {
                             session.push_inbox(frame);
                         }
                     }
-                    // Peer death: wake blocked upcall waiters with an
-                    // error (mark_dead → router.fail_all), drop the
-                    // session, and bump the tags of every object this
-                    // client created so its capabilities — wherever they
-                    // leaked — fail with StaleHandle from now on.
-                    session.mark_dead();
-                    sessions.remove(conn);
-                    server.rpc.invalidate_owner(conn);
+                    // Peer death.
+                    server.end_session(&session);
                 });
             if spawned.is_err() {
                 // No pump thread means the session can never serve; tear
                 // it down cleanly — the client observes a dropped
                 // connection — rather than aborting the accept thread.
-                session.mark_dead();
-                self.sessions.remove(conn);
-                self.rpc.invalidate_owner(conn);
+                self.end_session(&session);
             }
         }
+    }
+
+    /// Tear a session down: wake its blocked upcall waiters with an
+    /// error (`mark_dead` → `router.fail_all`), unregister it, and bump
+    /// the tags of every object its client created so its capabilities —
+    /// wherever they leaked — fail with `StaleHandle` from now on.
+    fn end_session(&self, session: &Session) {
+        session.mark_dead();
+        self.sessions.remove(session.conn());
+        self.rpc.invalidate_owner(session.conn());
     }
 
     /// Dispatch one inbound frame for a session and send its replies.

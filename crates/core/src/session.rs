@@ -111,10 +111,11 @@ impl Session {
     }
 
     /// Queue one inbound RPC frame for consumption by
-    /// [`next_frame`](Session::next_frame). The built-in server spawns a
-    /// task per frame instead, but embedders building a strictly
-    /// serialized main-RPC-task loop (the paper's original single-task
-    /// form) drive sessions through this pair.
+    /// [`next_frame`](Session::next_frame). The built-in server's read
+    /// pump queues every ordinary (non-nested) frame here, and the
+    /// session's main RPC task drains them in arrival order — the
+    /// paper's strictly serialized main task (section 4.4). Embedders
+    /// driving their own session loop use the same pair.
     pub fn push_inbox(&self, frame: impl Into<Frame>) {
         self.inbox.lock().push_back(frame.into());
         self.inbox_event.signal();

@@ -1,15 +1,22 @@
 //! Endpoint addressing across all transports.
 
-use crate::wan::WanConfig;
 use std::fmt;
 use std::path::PathBuf;
+use std::time::Duration;
+
+/// The simulated WAN's default one-way latency, tuned to the paper's
+/// *proportions*: its cross-machine round trip exceeded same-machine TCP
+/// by roughly 0.9 ms (12 400 µs vs 11 500 µs in Figure 5.1), i.e.
+/// ~450 µs each way on 1988 Ethernet.
+const DEFAULT_WAN_LATENCY: Duration = Duration::from_micros(450);
 
 /// Where a server listens and clients connect.
 ///
 /// The four variants are the four placements measured in the paper's
 /// Figure 5.1: same address space (`InProc`), same machine over a
 /// Unix-domain connection (`Unix`), same machine over TCP (`Tcp`), and
-/// different machines (`Wan`, simulated as TCP plus delivery latency).
+/// different machines (`Wan`, simulated as TCP plus delivery latency:
+/// the paper had two Microvaxes on a LAN, we have one machine).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Endpoint {
@@ -19,12 +26,17 @@ pub enum Endpoint {
     Unix(PathBuf),
     /// A TCP socket; `"host:port"`, port 0 picks a free port.
     Tcp(String),
-    /// TCP plus simulated wide-area delivery latency.
+    /// TCP plus simulated wide-area delivery latency: both ends hold
+    /// every frame they send for `one_way_latency` (a
+    /// [`FaultPlan::latency`](crate::FaultPlan::latency) link), so a round
+    /// trip pays two one-way latencies, like a real network path.
     Wan {
         /// The underlying TCP address.
         addr: String,
-        /// Latency model applied to every delivered frame.
-        config: WanConfig,
+        /// Hold on every frame sent in either direction (whole
+        /// microseconds survive [`Display`](fmt::Display) and
+        /// [`parse`](Endpoint::parse)).
+        one_way_latency: Duration,
     },
 }
 
@@ -47,23 +59,24 @@ impl Endpoint {
         Endpoint::Tcp(addr.into())
     }
 
-    /// Shorthand for a simulated-WAN endpoint with the default latency
-    /// model.
+    /// Shorthand for a simulated-WAN endpoint with the default one-way
+    /// latency (450 µs, the 1988-Ethernet gap implied by Figure 5.1).
     #[must_use]
     pub fn wan(addr: impl Into<String>) -> Endpoint {
         Endpoint::Wan {
             addr: addr.into(),
-            config: WanConfig::default(),
+            one_way_latency: DEFAULT_WAN_LATENCY,
         }
     }
 
     /// Parse the URL-like form produced by [`Display`](fmt::Display):
-    /// `inproc://name`, `unix://path`, `tcp://addr`, `wan://addr`.
+    /// `inproc://name`, `unix://path`, `tcp://addr`,
+    /// `wan://addr?latency_us=N`.
     ///
     /// Cluster membership carries endpoints as strings on the wire; this
-    /// is the inverse mapping. A `wan://` address parses with the default
-    /// latency model (the query suffix, if present, is ignored — the
-    /// latency is simulation config, not addressing).
+    /// is the inverse mapping. A `wan://` address without a query takes
+    /// the default latency; any query other than one whole-microsecond
+    /// `latency_us` is rejected.
     #[must_use]
     pub fn parse(s: &str) -> Option<Endpoint> {
         let (scheme, rest) = s.split_once("://")?;
@@ -74,10 +87,16 @@ impl Endpoint {
             "inproc" => Some(Endpoint::in_proc(rest)),
             "unix" => Some(Endpoint::unix(rest)),
             "tcp" => Some(Endpoint::tcp(rest)),
-            "wan" => {
-                let addr = rest.split_once('?').map_or(rest, |(a, _)| a);
-                Some(Endpoint::wan(addr))
-            }
+            "wan" => match rest.split_once('?') {
+                None => Some(Endpoint::wan(rest)),
+                Some((addr, query)) => {
+                    let micros = query.strip_prefix("latency_us=")?.parse().ok()?;
+                    (!addr.is_empty()).then(|| Endpoint::Wan {
+                        addr: addr.to_string(),
+                        one_way_latency: Duration::from_micros(micros),
+                    })
+                }
+            },
             _ => None,
         }
     }
@@ -100,8 +119,11 @@ impl fmt::Display for Endpoint {
             Endpoint::InProc(name) => write!(f, "inproc://{name}"),
             Endpoint::Unix(path) => write!(f, "unix://{}", path.display()),
             Endpoint::Tcp(addr) => write!(f, "tcp://{addr}"),
-            Endpoint::Wan { addr, config } => {
-                write!(f, "wan://{addr}?latency={:?}", config.one_way_latency)
+            Endpoint::Wan {
+                addr,
+                one_way_latency,
+            } => {
+                write!(f, "wan://{addr}?latency_us={}", one_way_latency.as_micros())
             }
         }
     }
@@ -133,6 +155,10 @@ mod tests {
             Endpoint::unix("/tmp/clam.sock"),
             Endpoint::tcp("127.0.0.1:7000"),
             Endpoint::wan("10.0.0.1:7000"),
+            Endpoint::Wan {
+                addr: "10.0.0.2:7000".to_string(),
+                one_way_latency: Duration::from_micros(1234),
+            },
         ] {
             assert_eq!(Endpoint::parse(&ep.to_string()), Some(ep));
         }
@@ -144,5 +170,25 @@ mod tests {
         assert_eq!(Endpoint::parse("tcp:127.0.0.1:1"), None);
         assert_eq!(Endpoint::parse("carrier-pigeon://coop"), None);
         assert_eq!(Endpoint::parse("inproc://"), None);
+        assert_eq!(Endpoint::parse("wan://h:1?latency_us=fast"), None);
+        assert_eq!(Endpoint::parse("wan://h:1?latency_us="), None);
+        assert_eq!(Endpoint::parse("wan://h:1?latency=450us"), None);
+        assert_eq!(Endpoint::parse("wan://?latency_us=450"), None);
+    }
+
+    #[test]
+    fn default_wan_latency_matches_figure_5_1_gap() {
+        let Endpoint::Wan {
+            one_way_latency, ..
+        } = Endpoint::wan("h:1")
+        else {
+            panic!("not a wan endpoint");
+        };
+        assert_eq!(one_way_latency, Duration::from_micros(450));
+        assert_eq!(
+            Endpoint::parse("wan://h:1"),
+            Some(Endpoint::wan("h:1")),
+            "no query means the default latency"
+        );
     }
 }

@@ -22,7 +22,6 @@
 use crate::channel::{Channel, MsgWriter};
 use crate::error::{NetError, NetResult};
 use crate::frame::{encode_frame, Frame};
-use crate::wan::WanConfig;
 use clam_xdr::BufferPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -57,6 +56,13 @@ pub struct FaultPlan {
     /// further sends fail with [`NetError::Closed`] and the inner writer
     /// is dropped, so the peer's reader observes the hangup.
     pub disconnect_after: Option<u64>,
+    /// A fixed hold on every delivered frame: the one-way latency of the
+    /// link. It draws nothing from the fault RNG, bumps no `net.fault.*`
+    /// counter, and leaves [`FaultPlan::planned_fates`] unchanged — it
+    /// models a slow path, not a fault. The simulated WAN
+    /// ([`Endpoint::Wan`](crate::Endpoint::Wan)) is a plan with only this
+    /// set on both ends of a TCP connection.
+    pub latency: Duration,
 }
 
 impl Default for FaultPlan {
@@ -71,6 +77,7 @@ impl Default for FaultPlan {
             truncate: 0.0,
             partition_after: None,
             disconnect_after: None,
+            latency: Duration::ZERO,
         }
     }
 }
@@ -83,13 +90,6 @@ impl FaultPlan {
             seed,
             ..FaultPlan::default()
         }
-    }
-
-    /// Derive a plan from a [`WanConfig`]: the fault RNG shares the WAN
-    /// seed, so one number reproduces both jitter and faults.
-    #[must_use]
-    pub fn seeded_from(config: &WanConfig) -> FaultPlan {
-        FaultPlan::seeded(config.seed)
     }
 
     /// Drop every frame (the classic black hole).
@@ -511,6 +511,9 @@ impl MsgWriter for FaultyWriter {
             frame
         };
         let inner = self.inner.as_mut().ok_or(NetError::Closed)?;
+        if !self.plan.latency.is_zero() {
+            std::thread::sleep(self.plan.latency);
+        }
         if fate.duplicated {
             self.state.duplicated.fetch_add(1, Ordering::Relaxed);
             self.state.delivered.fetch_add(1, Ordering::Relaxed);
@@ -691,13 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_derives_seed_from_wan_config() {
-        let wan = WanConfig::default().with_seed(77);
-        let plan = FaultPlan::seeded_from(&wan);
-        assert_eq!(plan.seed, 77);
-    }
-
-    #[test]
     fn planned_stats_replay_matches_a_live_channel_exactly() {
         // A plan exercising every randomized fault kind at once. Payload
         // lengths vary (including an empty one, which skips the
@@ -719,6 +715,40 @@ mod tests {
             handle.stats(),
             plan.planned_stats(&lens),
             "the pure replay must predict the live counters exactly"
+        );
+        drop(b);
+    }
+
+    #[test]
+    fn latency_holds_delivered_frames_without_drawing_or_counting() {
+        let latency = Duration::from_millis(3);
+        let lossy = FaultPlan::seeded(21).drop_frames(0.5);
+        let slow = FaultPlan { latency, ..lossy };
+        let lens = [4usize; 16];
+        assert_eq!(
+            slow.planned_fates(&lens),
+            lossy.planned_fates(&lens),
+            "latency draws nothing from the fault RNG"
+        );
+
+        let (a, b) = pair();
+        let (mut a, handle) = FaultyChannel::wrap(a, slow);
+        let start = std::time::Instant::now();
+        for _ in lens {
+            a.send(b"four").unwrap();
+        }
+        let elapsed = start.elapsed();
+        let stats = handle.stats();
+        assert_eq!(
+            stats,
+            lossy.planned_stats(&lens),
+            "same fates as without it"
+        );
+        assert_eq!(stats.delayed, 0, "a hold is not an injected delay");
+        assert!(
+            elapsed >= latency * u32::try_from(stats.delivered).unwrap(),
+            "every delivered frame is held: {elapsed:?} for {} frames",
+            stats.delivered
         );
         drop(b);
     }

@@ -11,9 +11,9 @@
 //!   ends in one process, the paper's "dynamically loaded into the
 //!   server" placement), [`Endpoint::Unix`], [`Endpoint::Tcp`], and
 //!   [`Endpoint::Wan`] — TCP plus a configurable one-way delivery latency
-//!   that stands in for the paper's "different machines" rows of
-//!   Figure 5.1 (we have one machine; the paper had two Microvaxes on a
-//!   LAN).
+//!   (a [`FaultPlan::latency`] link on both ends) that stands in for the
+//!   paper's "different machines" rows of Figure 5.1 (we have one
+//!   machine; the paper had two Microvaxes on a LAN).
 //! * [`listen`] / [`connect`] — uniform setup across all transports.
 //!
 //! A channel splits into an owned reader and writer so an I/O pump thread
@@ -46,7 +46,6 @@ mod frame;
 mod inproc;
 mod tcp;
 mod unix;
-mod wan;
 
 pub use channel::{pair, Channel, MsgReader, MsgWriter};
 pub use connector::{Connector, DirectConnector, FaultyConnector};
@@ -57,7 +56,6 @@ pub use frame::{
     encode_frame, read_frame, read_frame_into, write_frame, Frame, FrameEncoder, FRAME_PREFIX_LEN,
     MAX_FRAME_LEN,
 };
-pub use wan::WanConfig;
 
 // Re-exported so transport users can build one pool and attach it to
 // writers, readers, and encoders without importing `clam-xdr` directly.
@@ -92,8 +90,11 @@ pub fn listen(endpoint: &Endpoint) -> NetResult<Arc<dyn Listener>> {
     match endpoint {
         Endpoint::InProc(name) => inproc::listen(name),
         Endpoint::Unix(path) => unix::listen(path),
-        Endpoint::Tcp(addr) => tcp::listen(addr),
-        Endpoint::Wan { addr, config } => wan::listen(addr, *config),
+        Endpoint::Tcp(addr) => tcp::listen(addr, None),
+        Endpoint::Wan {
+            addr,
+            one_way_latency,
+        } => tcp::listen(addr, Some(*one_way_latency)),
     }
 }
 
@@ -107,7 +108,10 @@ pub fn connect(endpoint: &Endpoint) -> NetResult<Channel> {
     match endpoint {
         Endpoint::InProc(name) => inproc::connect(name),
         Endpoint::Unix(path) => unix::connect(path),
-        Endpoint::Tcp(addr) => tcp::connect(addr),
-        Endpoint::Wan { addr, config } => wan::connect(addr, *config),
+        Endpoint::Tcp(addr) => tcp::connect(addr, None),
+        Endpoint::Wan {
+            addr,
+            one_way_latency,
+        } => tcp::connect(addr, Some(*one_way_latency)),
     }
 }

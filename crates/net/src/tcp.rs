@@ -1,15 +1,22 @@
 //! TCP transport — the paper's same-machine and cross-machine TCP/IP
 //! rows of Figure 5.1.
+//!
+//! The cross-machine rows run over the simulated WAN: loopback TCP with
+//! both ends wrapped in a [`FaultPlan`] whose only setting is
+//! [`latency`](FaultPlan::latency), so every frame sent in either
+//! direction is held for the one-way latency and a round trip pays two.
 
 use crate::channel::{Channel, MsgReader, MsgWriter};
 use crate::endpoint::Endpoint;
 use crate::error::NetResult;
+use crate::fault::{FaultPlan, FaultyChannel};
 use crate::frame::{read_frame_pooled, Frame};
 use crate::Listener;
 use clam_xdr::BufferPool;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct TcpWriter {
     stream: TcpStream,
@@ -61,34 +68,67 @@ pub(crate) fn channel_from_stream(label: &str, stream: TcpStream) -> NetResult<C
     ))
 }
 
+/// Wrap `channel` as one end of the simulated WAN when `wan_latency` is
+/// set. The label head becomes `wan`, so the link meters as its own
+/// transport kind (`net.*.wan`) on top of the TCP layer underneath.
+fn wan_end(channel: Channel, wan_latency: Option<Duration>) -> Channel {
+    let Some(latency) = wan_latency else {
+        return channel;
+    };
+    let label = format!("wan-{}", channel.label());
+    let (writer, reader) = channel.split();
+    let plan = FaultPlan {
+        latency,
+        ..FaultPlan::default()
+    };
+    let (writer, _) = FaultyChannel::wrap_writer(writer, plan);
+    Channel::from_halves(label, writer, reader)
+}
+
 struct TcpChannelListener {
     listener: TcpListener,
     addr: String,
+    /// `Some` for a simulated-WAN listener (see [`wan_end`]).
+    wan_latency: Option<Duration>,
 }
 
 impl Listener for TcpChannelListener {
     fn accept(&self) -> NetResult<Channel> {
         let (stream, _) = self.listener.accept()?;
-        channel_from_stream("tcp-server", stream)
+        let channel = channel_from_stream("tcp-server", stream)?;
+        Ok(wan_end(channel, self.wan_latency))
     }
 
     fn endpoint(&self) -> Endpoint {
-        Endpoint::Tcp(self.addr.clone())
+        let addr = self.addr.clone();
+        match self.wan_latency {
+            None => Endpoint::Tcp(addr),
+            Some(one_way_latency) => Endpoint::Wan {
+                addr,
+                one_way_latency,
+            },
+        }
     }
 }
 
-pub(crate) fn listen(addr: &str) -> NetResult<Arc<dyn Listener>> {
+/// Listen on `addr`; with `wan_latency`, as the simulated WAN.
+pub(crate) fn listen(addr: &str, wan_latency: Option<Duration>) -> NetResult<Arc<dyn Listener>> {
     let listener = TcpListener::bind(addr)?;
     let actual = listener.local_addr()?;
     Ok(Arc::new(TcpChannelListener {
         listener,
         addr: actual.to_string(),
+        wan_latency,
     }))
 }
 
-pub(crate) fn connect(addr: &str) -> NetResult<Channel> {
+/// Connect to `addr`; with `wan_latency`, as the simulated WAN.
+pub(crate) fn connect(addr: &str, wan_latency: Option<Duration>) -> NetResult<Channel> {
     let stream = TcpStream::connect(addr)?;
-    channel_from_stream("tcp-client", stream)
+    Ok(wan_end(
+        channel_from_stream("tcp-client", stream)?,
+        wan_latency,
+    ))
 }
 
 #[cfg(test)]
@@ -117,6 +157,49 @@ mod tests {
         let big = vec![0x5au8; 1 << 20];
         c.send(&big).unwrap();
         assert_eq!(s.recv().unwrap(), big);
+    }
+
+    #[test]
+    fn wan_round_trip_pays_two_one_way_latencies() {
+        let ep = Endpoint::Wan {
+            addr: "127.0.0.1:0".to_string(),
+            one_way_latency: Duration::from_millis(5),
+        };
+        let l = net_listen(&ep).unwrap();
+        let mut c = net_connect(&l.endpoint()).unwrap();
+        let mut s = l.accept().unwrap();
+        assert!(c.label().starts_with("wan-") && s.label().starts_with("wan-"));
+
+        let start = std::time::Instant::now();
+        c.send(b"req").unwrap();
+        assert_eq!(s.recv().unwrap(), b"req");
+        s.send(b"resp").unwrap();
+        assert_eq!(c.recv().unwrap(), b"resp");
+        let rtt = start.elapsed();
+        assert!(
+            rtt >= Duration::from_millis(10),
+            "round trip {rtt:?} must include both one-way delays"
+        );
+    }
+
+    #[test]
+    fn wan_endpoint_carries_resolved_port_and_latency() {
+        let latency = Duration::from_micros(100);
+        let l = net_listen(&Endpoint::Wan {
+            addr: "127.0.0.1:0".to_string(),
+            one_way_latency: latency,
+        })
+        .unwrap();
+        match l.endpoint() {
+            Endpoint::Wan {
+                addr,
+                one_way_latency,
+            } => {
+                assert!(!addr.ends_with(":0"));
+                assert_eq!(one_way_latency, latency);
+            }
+            other => panic!("unexpected endpoint {other}"),
+        }
     }
 
     #[test]

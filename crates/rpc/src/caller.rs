@@ -13,17 +13,15 @@
 //! [`Caller::call_async`] is the batched form; [`Caller::flush`] is the
 //! special synchronization procedure.
 
-use crate::deadline::{DeadlineWatchdog, ReplySlot};
-use crate::error::{RpcError, RpcResult, StatusCode};
-use crate::message::{BatchEncoder, Call, Message, Reply, Target};
+use crate::error::{RpcError, RpcResult};
+use crate::message::{BatchEncoder, Call, Target};
+use crate::reply::{ReplyKind, ReplyTable};
 use crate::server::SYNC_SERVICE_ID;
 use clam_net::{MsgReader, MsgWriter};
 use clam_obs::EventKind;
 use clam_task::{Event, Scheduler};
 use clam_xdr::{BufferPool, Opaque};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,6 +37,8 @@ thread_local! {
 /// RPC task. The client runtime wraps upcall handlers in this; spawning a
 /// task from inside a handler escapes the context — calls from such tasks
 /// may deadlock behind the outstanding upcall and are unsupported.
+///
+/// [`Message::NestedCallBatch`]: crate::Message::NestedCallBatch
 pub fn nested_call_scope<R>(f: impl FnOnce() -> R) -> R {
     let previous = NESTED_CONTEXT.with(|c| c.replace(true));
     let result = f();
@@ -191,14 +191,11 @@ struct Outbound {
 pub struct Caller {
     sched: Scheduler,
     out: Mutex<Outbound>,
-    pending: Mutex<HashMap<u64, Arc<ReplySlot>>>,
-    next_request: AtomicU64,
-    closed: AtomicBool,
+    /// Sync calls awaiting replies, their deadlines, and the reply pump.
+    replies: Arc<ReplyTable>,
     config: CallerConfig,
     /// Buffers cycle: acquire → encode batch → send → transport recycles.
     pool: BufferPool,
-    /// Enforces call deadlines from outside the event machinery.
-    watchdog: DeadlineWatchdog,
     /// Pre-resolved metric handles (see [`CallerObs`]).
     obs: CallerObs,
 }
@@ -206,7 +203,7 @@ pub struct Caller {
 impl std::fmt::Debug for Caller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Caller")
-            .field("closed", &self.closed.load(Ordering::Relaxed))
+            .field("closed", &self.replies.is_closed())
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -214,7 +211,7 @@ impl std::fmt::Debug for Caller {
 
 impl Caller {
     /// Create a caller writing to `writer`; wire a reply pump (see
-    /// [`Caller::pump_replies`]) to the matching reader.
+    /// [`Caller::spawn_reply_pump`]) to the matching reader.
     ///
     /// The caller's [`BufferPool`] is attached to `writer`, so every sent
     /// frame's buffer comes straight back for the next batch.
@@ -234,12 +231,9 @@ impl Caller {
                 batches_sent: 0,
                 calls_sent: 0,
             }),
-            pending: Mutex::new(HashMap::new()),
-            next_request: AtomicU64::new(1),
-            closed: AtomicBool::new(false),
+            replies: ReplyTable::new(sched),
             config,
             pool,
-            watchdog: DeadlineWatchdog::new(),
             obs: CallerObs::new(),
         })
     }
@@ -305,7 +299,10 @@ impl Caller {
         let gate = Arc::new(Event::new(&self.sched));
         let armed = Arc::clone(&gate);
         // Fire-once: the entry's firing is what ends the sleep.
-        let _ = self.watchdog.arm_after(duration, move || armed.signal());
+        let _ = self
+            .replies
+            .watchdog()
+            .arm_after(duration, move || armed.signal());
         gate.wait();
     }
 
@@ -316,7 +313,7 @@ impl Caller {
         args: Opaque,
         deadline: Option<Duration>,
     ) -> RpcResult<Opaque> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
         // Open a child span for this call: the caller's current context
@@ -327,62 +324,40 @@ impl Caller {
         let trace = parent.child();
         clam_obs::journal().record(EventKind::CallStart, trace, parent.span, method);
         let started = Instant::now();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let wait = ReplySlot::new(&self.sched);
-        self.pending.lock().insert(request_id, Arc::clone(&wait));
 
         let nested = in_nested_context();
-        let send_result = {
+        let send = |request_id| {
             let mut out = self.out.lock();
+            let call = Call {
+                request_id,
+                target,
+                method,
+                args,
+                trace,
+            };
+            // Flush whatever the application batched first (its own
+            // ordinary frame); a nested call then goes alone in a
+            // NestedCallBatch so only IT jumps the server's queue.
             if nested {
-                // Flush whatever the application batched first (its own
-                // ordinary frame), then send the nested call alone in a
-                // NestedCallBatch so only IT jumps the server's queue.
-                self.flush_locked(&mut out, &self.obs.flush_sync)
-                    .and_then(|()| {
-                        out.calls_sent += 1;
-                        out.batches_sent += 1;
-                        let mut enc = BatchEncoder::begin_nested(self.pool.acquire());
-                        enc.push(Call {
-                            request_id,
-                            target,
-                            method,
-                            args,
-                            trace,
-                        })?;
-                        out.writer.send(enc.finish()?)?;
-                        Ok(())
-                    })
+                self.flush_locked(&mut out, &self.obs.flush_sync)?;
+                out.calls_sent += 1;
+                out.batches_sent += 1;
+                let mut enc = BatchEncoder::begin_nested(self.pool.acquire());
+                enc.push(call)?;
+                out.writer.send(enc.finish()?)?;
+                Ok(())
             } else {
-                self.append_locked(
-                    &mut out,
-                    Call {
-                        request_id,
-                        target,
-                        method,
-                        args,
-                        trace,
-                    },
-                )
-                .and_then(|()| self.flush_locked(&mut out, &self.obs.flush_sync))
+                self.append_locked(&mut out, call)?;
+                self.flush_locked(&mut out, &self.obs.flush_sync)
             }
         };
-        if let Err(e) = send_result {
-            self.pending.lock().remove(&request_id);
-            return Err(e);
-        }
-
         // Expiry completes the call from outside; it is counted and
-        // journaled only if it beat the reply. The entry is disarmed as
-        // soon as the wait returns.
+        // journaled only if it beat the reply.
         let expired = Arc::clone(&self.obs.deadline_expired);
-        let outcome = wait.wait(&self.watchdog, deadline, move || {
+        let outcome = self.replies.request(send, deadline, move || {
             expired.inc();
             clam_obs::journal().record(EventKind::DeadlineFired, trace, parent.span, method);
         });
-        // On expiry the entry is still in the map (a late reply must not
-        // find it); on a normal reply this remove is a no-op.
-        self.pending.lock().remove(&request_id);
         #[allow(clippy::cast_possible_truncation)]
         latency_histogram(target).observe(started.elapsed().as_micros() as u64);
         clam_obs::journal().record(
@@ -402,7 +377,7 @@ impl Caller {
     ///
     /// Transport errors if an automatic flush fires.
     pub fn call_async(&self, target: Target, method: u32, args: Opaque) -> RpcResult<()> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.replies.is_closed() {
             return Err(RpcError::Disconnected);
         }
         self.obs.calls_async.inc();
@@ -510,91 +485,29 @@ impl Caller {
     /// Number of calls awaiting replies.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.pending.lock().len()
+        self.replies.outstanding()
     }
 
-    /// Deliver a reply received from the transport. Returns `false` for
-    /// replies that match no outstanding call (a protocol anomaly the
-    /// pump may log) or that lost the race to their call's deadline.
-    pub fn handle_reply(&self, reply: Reply) -> bool {
-        let Some(wait) = self.pending.lock().remove(&reply.request_id) else {
-            return false;
-        };
-        let outcome = if reply.status == StatusCode::Ok {
-            Ok(reply.results)
-        } else {
-            Err(RpcError::Status {
-                code: reply.status,
-                message: reply.detail,
-            })
-        };
-        wait.complete(outcome)
-    }
-
-    /// Fail every outstanding call (connection teardown).
-    pub fn fail_all(&self) {
-        self.closed.store(true, Ordering::Release);
-        let drained: Vec<_> = self.pending.lock().drain().collect();
-        for (_, wait) in drained {
-            wait.complete(Err(RpcError::Disconnected));
-        }
-    }
-
-    /// Run the reply pump on the calling thread until the connection
-    /// closes: every inbound frame must be a `Reply` and is routed to its
-    /// waiting call. On exit all outstanding calls fail.
+    /// Spawn the reply pump for `reader`, the connection's inbound half
+    /// (see [`ReplyTable::spawn_pump`]). Dropping every caller handle
+    /// drops the writer, so the peer hangs up and the pump ends.
     ///
-    /// Spawn this on a dedicated OS thread (it plays the kernel's role of
-    /// delivering I/O, so it must not be a task of the scheduler).
-    pub fn pump_replies(self: &Arc<Self>, mut reader: Box<dyn MsgReader>) {
-        reader.attach_pool(&self.pool);
-        while let Ok(frame) = reader.recv() {
-            match Message::from_frame(&frame) {
-                Ok(Message::Reply(reply)) => {
-                    self.pool.recycle(frame.into_wire());
-                    self.handle_reply(reply);
-                }
-                Ok(_) | Err(_) => break, // protocol violation: drop link
-            }
-        }
-        self.fail_all();
-    }
-
-    /// Spawn the reply pump on a new OS thread.
+    /// # Errors
     ///
-    /// The pump holds the caller weakly: dropping every caller handle
-    /// closes the connection (the writer is dropped), which in turn ends
-    /// the pump — no reference cycle keeps the link alive.
+    /// The I/O error if the thread cannot be spawned.
     pub fn spawn_reply_pump(
-        self: &Arc<Self>,
-        mut reader: Box<dyn MsgReader>,
-    ) -> std::thread::JoinHandle<()> {
-        reader.attach_pool(&self.pool);
-        let weak = Arc::downgrade(self);
-        std::thread::Builder::new()
-            .name("clam-rpc-reply-pump".to_string())
-            .spawn(move || {
-                while let Ok(frame) = reader.recv() {
-                    let Some(caller) = weak.upgrade() else { break };
-                    match Message::from_frame(&frame) {
-                        Ok(Message::Reply(reply)) => {
-                            caller.pool.recycle(frame.into_wire());
-                            caller.handle_reply(reply);
-                        }
-                        Ok(_) | Err(_) => break,
-                    }
-                }
-                if let Some(caller) = weak.upgrade() {
-                    caller.fail_all();
-                }
-            })
-            .expect("failed to spawn reply pump")
+        &self,
+        reader: Box<dyn MsgReader>,
+    ) -> std::io::Result<std::thread::JoinHandle<()>> {
+        self.replies.spawn_pump(reader, ReplyKind::Call, &self.pool)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StatusCode;
+    use crate::message::{Message, Reply};
     use clam_net::pair;
     use clam_xdr::Opaque;
 
@@ -603,7 +516,7 @@ mod tests {
         let sched = Scheduler::new("caller-test");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.spawn_reply_pump(r).unwrap();
         (caller, server)
     }
 
@@ -708,7 +621,7 @@ mod tests {
         let sched = Scheduler::new("err");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.spawn_reply_pump(r).unwrap();
         let mut server = server;
         let srv = std::thread::spawn(move || {
             let frame = server.recv().unwrap();
@@ -737,7 +650,7 @@ mod tests {
         let sched = Scheduler::new("disc");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.spawn_reply_pump(r).unwrap();
         let mut server = server;
         let t = std::thread::spawn(move || {
             let _ = server.recv(); // swallow the call, then hang up
@@ -761,7 +674,7 @@ mod tests {
         let sched = Scheduler::new("um");
         let (w, _r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        assert!(!caller.handle_reply(Reply {
+        assert!(!caller.replies.complete(Reply {
             request_id: 42,
             status: StatusCode::Ok,
             detail: String::new(),
@@ -775,7 +688,7 @@ mod tests {
         let sched = Scheduler::new("task-call");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.spawn_reply_pump(r).unwrap();
         // The server holds its reply until the other task has run, so the
         // reply cannot beat the RPC task to its wait: only a task that
         // really blocks lets "other-ran" happen before "call-done". (The
@@ -871,7 +784,7 @@ mod tests {
                 ..CallerConfig::default()
             },
         );
-        caller.spawn_reply_pump(r);
+        caller.spawn_reply_pump(r).unwrap();
         (caller, server)
     }
 
@@ -970,10 +883,14 @@ mod tests {
                 assert_eq!(out.as_slice(), &[i]);
             }
         }
-        assert_eq!(caller.watchdog.armed(), 0, "every completed call disarms");
+        assert_eq!(
+            caller.replies.watchdog().armed(),
+            0,
+            "every completed call disarms"
+        );
         // Outlive every deadline the calls armed: none may fire.
         std::thread::sleep(timeout * 2);
-        assert_eq!(caller.watchdog.armed(), 0);
+        assert_eq!(caller.replies.watchdog().armed(), 0);
         assert_eq!(
             deadline_expired() - expired_before,
             0,
@@ -1075,7 +992,7 @@ mod tests {
             "seed {seed}: one counted expiry per DeadlineExceeded, none per late reply"
         );
         assert_eq!(
-            caller.watchdog.armed(),
+            caller.replies.watchdog().armed(),
             0,
             "seed {seed}: nothing left armed"
         );
@@ -1094,7 +1011,7 @@ mod tests {
         let sched = Scheduler::new("flush-ack");
         let (w, r) = client.split();
         let caller = Caller::new(&sched, w, CallerConfig::default());
-        caller.spawn_reply_pump(r);
+        caller.spawn_reply_pump(r).unwrap();
         let rpc = Arc::new(crate::RpcServer::new());
         let srv = {
             let rpc = Arc::clone(&rpc);
